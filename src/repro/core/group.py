@@ -9,7 +9,8 @@ the right cells).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.registry import MetricsRegistry, null_registry
 from ..predicates.framework import PredicateThread
@@ -96,7 +97,9 @@ class GroupNode:
         self.multicasts: Dict[int, SubgroupMulticast] = {}
         self.persistence: Dict[int, "PersistenceEngine"] = {}
         self._delivery_callbacks: Dict[int, List[Callable[[Delivery], None]]] = {}
-        self._delivered_col_to_mc: Dict[int, SubgroupMulticast] = {}
+        #: (lo, hi, mc): each subgroup's control column span, in layout
+        #: order (build_layout walks view.subgroups in this same order).
+        self._control_spans: List[Tuple[int, int, SubgroupMulticast]] = []
 
         for sg in view.subgroups:
             if self.node_id not in sg.members:
@@ -135,12 +138,10 @@ class GroupNode:
                 self._delivery_callbacks[sg.subgroup_id].append(
                     engine.enqueue
                 )
-            # Any ack-column update may free ring slots: map every
-            # control column to the subgroup so arriving acks wake
-            # blocked senders.
+            # Every watermarked column sits in a control span; arriving
+            # acks there feed the watermarks and may free ring slots.
             lo, hi = cols.control_span
-            for col in range(lo, hi):
-                self._delivered_col_to_mc[col] = mc
+            self._control_spans.append((lo, hi, mc))
 
         self.membership = None
         if membership_params is not None:
@@ -154,13 +155,13 @@ class GroupNode:
                               suspicion_timeout=suspicion_timeout)
             self.membership = MembershipService(self, membership_cols, **kwargs)
 
+        self._control_ends = [hi for _lo, hi, _mc in self._control_spans]
+        self._row_owners = self.sst.row_owners
         rdma_node.on_remote_write.append(self._on_remote_write)
 
     # --------------------------------------------------------------- wiring
 
     def _make_dispatcher(self, subgroup_id: int):
-        callbacks = None
-
         def dispatch(delivery: Delivery) -> None:
             for cb in self._delivery_callbacks[subgroup_id]:
                 cb(delivery)
@@ -168,15 +169,28 @@ class GroupNode:
         return dispatch
 
     def _on_remote_write(self, region: Region, snap: WriteSnapshot) -> None:
-        """Remote write landed: wake the polling thread; if the write may
-        have advanced a delivered_num, wake blocked senders too."""
+        """Remote write landed: wake the polling thread. A write into one
+        of this node's SST rows that covers a subgroup's control span
+        feeds the SST's watermarks; if it advanced the subgroup's slot
+        watermark, ring slots were freed, so wake blocked senders too."""
         self.thread.doorbell.ring()
-        if len(snap.data) <= 64:  # control spans are small; bulk slot
-            for col in range(snap.offset, snap.offset + len(snap.data)):
-                mc = self._delivered_col_to_mc.get(col)
-                if mc is not None:
-                    mc.slot_doorbell.ring()
-                    break
+        owner = self._row_owners.get(region)
+        if owner is None:
+            return  # a mailbox, RDMC, transfer or other foreign region
+        lo = snap.offset
+        # The first control span ending past lo; spans are disjoint and
+        # a subgroup's slots separate them, so a write covers at most one.
+        i = bisect_right(self._control_ends, lo)
+        if i == len(self._control_ends):
+            return
+        span_lo, _hi, mc = self._control_spans[i]
+        if span_lo >= lo + len(snap.data):
+            return  # slots only
+        gate = mc.slot_watermark
+        before = gate.value if gate is not None else None
+        self.sst.note_remote_write(owner, lo, snap.data)
+        if gate is not None and gate.value > before:
+            mc.slot_doorbell.ring()
 
     # ------------------------------------------------------------ public API
 

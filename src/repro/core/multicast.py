@@ -154,6 +154,15 @@ class SubgroupMulticast(OrderingEndpoint):
         self.wedged = False
         #: woken when delivery progress may have freed ring slots.
         self.slot_doorbell = Doorbell(sim, name=f"sg{subgroup_id}.slots@{self.node_id}")
+        #: The column minimum that gates own slot reuse (§2.3): the
+        #: members' delivered_num, or in unordered mode the members'
+        #: receive acks for this sender (None on a non-sender there).
+        self.slot_watermark = None
+        if delivery_mode == "atomic":
+            self.slot_watermark = sst.watermark(cols.delivered, self.members)
+        elif self.my_rank is not None:
+            self.slot_watermark = sst.watermark(cols.recv_from(self.my_rank),
+                                                self.members)
 
         # -- receiver-side state ----------------------------------------------
         self.reals_received = [0] * self.S
@@ -161,6 +170,8 @@ class SubgroupMulticast(OrderingEndpoint):
         self.pending: List[Deque[SlotValue]] = [deque() for _ in range(self.S)]
         self.received_seq = -1
         self.delivered_seq = -1
+        #: min of the members' received_num: the stable prefix (§2.4).
+        self.received_watermark = sst.watermark(cols.received, self.members)
         #: Bumped whenever the receive trigger mutates its scan state
         #: (reals_received / nulls_seen) — part of the receive
         #: predicate's memoization token, covering the inputs that can
@@ -382,16 +393,12 @@ class SubgroupMulticast(OrderingEndpoint):
         if not self.own_inflight:
             return
         inflight = self.own_inflight
+        limit = self.slot_watermark.read()
         if self.delivery_mode == "unordered":
-            col = self.cols.recv_from(self.my_rank)
-            min_received = min(self.sst.read(m, col) for m in self.members)
-            while inflight and inflight[0][0] < min_received:
+            while inflight and inflight[0][0] < limit:
                 inflight.popleft()
             return
-        min_delivered = min(
-            self.sst.read(m, self.cols.delivered) for m in self.members
-        )
-        while inflight and inflight[0][1] <= min_delivered:
+        while inflight and inflight[0][1] <= limit:
             inflight.popleft()
 
     def _covered(self, rank: int) -> int:
@@ -439,7 +446,7 @@ class SubgroupMulticast(OrderingEndpoint):
     def stable_seq(self) -> int:
         """Highest sequence number received by *all* members (min of the
         received_num column — the delivery predicate's test, §2.4)."""
-        return min(self.sst.read(m, self.cols.received) for m in self.members)
+        return self.received_watermark.read()
 
     def window_in_use(self) -> int:
         """Own ring slots currently occupied by not-yet-stable messages.
@@ -573,24 +580,30 @@ class _ReceivePredicate(Predicate):
         consumed_reals = 0
         consumed_slots: List[Tuple[int, SlotValue]] = []
         cost = 0.0
+        read_slot = mc.smc.read_slot
+        received = mc.reals_received
+        per_message = timing.receive_per_message
+        batch_receive = mc.config.batch_receive
         for rank, sender in enumerate(mc.senders):
             # -- null announcements from this sender ---------------------------
             announced = mc.sst.read(sender, mc.cols.nulls)
             if announced > mc.nulls_seen[rank]:
                 mc.nulls_seen[rank] = announced
-            # -- new application messages in the ring --------------------------
-            while mc.smc.has_message(sender, mc.reals_received[rank]):
-                slot = mc.smc.read_slot(sender, mc.reals_received[rank])
-                if unordered:
-                    consumed_slots.append((rank, slot))
-                else:
-                    mc.pending[rank].append(slot)
-                mc.reals_received[rank] += 1
-                consumed_reals += 1
-                cost += timing.receive_per_message
-                if not mc.config.batch_receive:
+            # -- new application messages in the ring, one read per slot -------
+            queue = consumed_slots if unordered else mc.pending[rank]
+            nxt = received[rank]
+            while True:
+                slot = read_slot(sender, nxt)
+                if slot is None or slot.real_index != nxt:
                     break
-            if consumed_reals and not mc.config.batch_receive:
+                queue.append((rank, slot) if unordered else slot)
+                nxt += 1
+                consumed_reals += 1
+                cost += per_message
+                if not batch_receive:
+                    break
+            received[rank] = nxt
+            if consumed_reals and not batch_receive:
                 break
         # §3.3 null-send rule, level-triggered on the covered rounds
         # (nulls are withheld while own sends are queued; the send
@@ -600,6 +613,7 @@ class _ReceivePredicate(Predicate):
         if unordered and consumed_slots:
             # QoS "unordered": deliver on receipt, in the receive trigger.
             upcall_cost = 0.0
+            recorded = []
             for rank, slot in consumed_slots:
                 cost += timing.delivery_per_message
                 upcall = timing.delivery_upcall
@@ -609,9 +623,9 @@ class _ReceivePredicate(Predicate):
                     upcall += mc.extra_delivery_cost(slot.size)
                 cost += upcall
                 upcall_cost += upcall
-                mc.stats.record_delivery(
-                    mc.sim.now + cost, rank, slot.size, slot.queued_at
-                )
+                recorded.append(
+                    (mc.sim.now + cost, rank, slot.size, slot.queued_at))
+            mc.stats.record_deliveries(recorded)
             # Nested stage: upcall time inside the receive predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(consumed_slots))
         yield cost
@@ -677,7 +691,6 @@ class _DeliveryPredicate(Predicate):
         self.mc = mc
         self.name = f"sg{mc.subgroup_id}.delivery"
         self.subgroup = mc.subgroup_id
-        self._member_rows = [mc.sst.rows[m] for m in mc.members]
 
     def evaluate(self):
         mc = self.mc
@@ -689,15 +702,10 @@ class _DeliveryPredicate(Predicate):
         return cost, None
 
     def generation(self):
-        # evaluate() reads the members' received columns plus
-        # delivered_seq; every delivered_seq advance (trigger or
-        # force-deliver) also writes the own delivered column, bumping
-        # the own row's version — so the members' version sum covers
-        # both.
-        version_sum = 0
-        for row in self._member_rows:
-            version_sum += row.version
-        return version_sum
+        # Exactly evaluate()'s inputs: the received watermark and
+        # delivered_seq (the cost is a constant).
+        mc = self.mc
+        return (mc.received_watermark.value, mc.delivered_seq)
 
     def trigger(self, value):
         (stable,) = value
@@ -706,41 +714,45 @@ class _DeliveryPredicate(Predicate):
         config = mc.config
         yield timing.trigger_base
 
-        max_seqs = (stable - mc.delivered_seq) if config.batch_delivery else 1
+        start = mc.delivered_seq
+        end = stable if config.batch_delivery else min(stable, start + 1)
+        S = mc.S
+        pending = mc.pending
+        senders = mc.senders
+        subgroup_id = mc.subgroup_id
+        per_message = timing.delivery_per_message
+        extra_cost = mc.extra_delivery_cost
+        upcall_each = not config.batched_upcall
+        upcall_base = timing.delivery_upcall
         batch: List[Delivery] = []
         batched_slots: List[Tuple[int, SlotValue]] = []
-        s = mc.delivered_seq
+        # (now, rank, size, queued_at) per delivery, in delivery order.
+        recorded: List[Tuple[float, int, int, float]] = []
         t0 = mc.sim.now
         cost = 0.0
         upcall_cost = 0.0
-        processed = 0
-        while s < stable and processed < max_seqs:
-            s += 1
-            processed += 1
-            rank = s % mc.S
-            k = s // mc.S
-            dq = mc.pending[rank]
+        s = start
+        for s in range(start + 1, end + 1):
+            rank = s % S
+            k = s // S
+            dq = pending[rank]
             if dq and dq[0].round_index == k:
                 slot = dq.popleft()
-                delivery = Delivery(
-                    mc.subgroup_id, mc.senders[rank], rank, s,
-                    slot.payload, slot.size,
-                )
-                batch.append(delivery)
-                cost += timing.delivery_per_message
-                if mc.extra_delivery_cost is not None:
-                    cost += mc.extra_delivery_cost(slot.size)
-                if not config.batched_upcall:
+                batch.append(Delivery(subgroup_id, senders[rank], rank, s,
+                                      slot.payload, slot.size))
+                cost += per_message
+                if extra_cost is not None:
+                    cost += extra_cost(slot.size)
+                if upcall_each:
                     # Upcall per message, inside the critical path (§3.5).
-                    upcall = timing.delivery_upcall
+                    upcall = upcall_base
                     if config.copy_on_delivery:
                         upcall += timing.memcpy_time(slot.size)
                     cost += upcall
                     upcall_cost += upcall
                     # Timestamp each delivery at its upcall completion.
-                    mc.stats.record_delivery(
-                        t0 + cost, rank, slot.size, slot.queued_at
-                    )
+                    recorded.append((t0 + cost, rank, slot.size,
+                                     slot.queued_at))
                 else:
                     batched_slots.append((rank, slot))
             else:
@@ -759,10 +771,10 @@ class _DeliveryPredicate(Predicate):
             cost += upcall
             upcall_cost += upcall
             # The whole batch is handed to the application at once.
-            for rank, slot in batched_slots:
-                mc.stats.record_delivery(
-                    t0 + cost, rank, slot.size, slot.queued_at
-                )
+            done = t0 + cost
+            recorded = [(done, rank, slot.size, slot.queued_at)
+                        for rank, slot in batched_slots]
+        mc.stats.record_deliveries(recorded)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(batch))

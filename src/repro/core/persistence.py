@@ -73,6 +73,8 @@ class PersistenceEngine:
         self.mc = mc
         self.sim = mc.sim
         self.persisted_col = persisted_col
+        #: min of the members' persisted_num: durable everywhere.
+        self.persisted_watermark = mc.sst.watermark(persisted_col, mc.members)
         if device is not None:
             self.device = device
             self.storage = device.model
@@ -208,9 +210,7 @@ class PersistenceEngine:
 
     def globally_persisted(self) -> int:
         """Min of the persisted_num column: durable on every member."""
-        return min(
-            self.mc.sst.read(m, self.persisted_col) for m in self.mc.members
-        )
+        return self.persisted_watermark.read()
 
     def replay(self) -> List[Tuple[int, int, Optional[bytes]]]:
         """The durable log (seq, sender, payload), in append order."""

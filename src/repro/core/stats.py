@@ -21,7 +21,7 @@ historical standalone API is unchanged.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.registry import (
     DEFAULT_BATCH_BUCKETS,
@@ -223,30 +223,55 @@ class SubgroupStats:
     def record_delivery(self, now: float, sender_rank: int, size: int,
                         queued_at: float) -> None:
         """One application message delivered locally."""
-        self._delivered.inc()
-        self._bytes_delivered.inc(size)
+        self.record_deliveries(((now, sender_rank, size, queued_at),))
+
+    def record_deliveries(
+        self, deliveries: Sequence[Tuple[float, int, int, float]]
+    ) -> None:
+        """Application messages delivered locally, in delivery order:
+        one ``(now, sender_rank, size, queued_at)`` item each. Leaves the
+        stats exactly as one :meth:`record_delivery` per item would."""
+        if not deliveries:
+            return
         if self.first_delivery_time is None:
-            self.first_delivery_time = now
-        self.last_delivery_time = now
-        if self.delivered % self.curve_stride == 0:
-            self.delivery_curve.append((now, self.bytes_delivered))
-        latency = now - queued_at
-        self._latency_hist.observe(latency)
-        self.latency_sum += latency
-        self.latency_count += 1
-        if latency > self.latency_max:
-            self.latency_max = latency
-        if len(self.latency_samples) < self.latency_sample_cap:
-            self.latency_samples.append(latency)
-        previous = self.last_delivery_from.get(sender_rank)
-        if previous is not None:
-            self.interdelivery_sum[sender_rank] = (
-                self.interdelivery_sum.get(sender_rank, 0.0) + (now - previous)
-            )
-            self.interdelivery_count[sender_rank] = (
-                self.interdelivery_count.get(sender_rank, 0) + 1
-            )
-        self.last_delivery_from[sender_rank] = now
+            self.first_delivery_time = deliveries[0][0]
+        first = self._delivered.value
+        delivered = first
+        total_bytes = self._bytes_delivered.value
+        stride = self.curve_stride
+        curve = self.delivery_curve
+        observe = self._latency_hist.observe
+        samples = self.latency_samples
+        cap = self.latency_sample_cap
+        last_from = self.last_delivery_from
+        gap_sum = self.interdelivery_sum
+        gap_count = self.interdelivery_count
+        latency_sum = self.latency_sum
+        latency_max = self.latency_max
+        for now, sender_rank, size, queued_at in deliveries:
+            delivered += 1
+            total_bytes += size
+            if delivered % stride == 0:
+                curve.append((now, total_bytes))
+            latency = now - queued_at
+            observe(latency)
+            latency_sum += latency
+            if latency > latency_max:
+                latency_max = latency
+            if len(samples) < cap:
+                samples.append(latency)
+            previous = last_from.get(sender_rank)
+            if previous is not None:
+                gap_sum[sender_rank] = (
+                    gap_sum.get(sender_rank, 0.0) + (now - previous))
+                gap_count[sender_rank] = gap_count.get(sender_rank, 0) + 1
+            last_from[sender_rank] = now
+        self._delivered.set_to(delivered)
+        self._bytes_delivered.set_to(total_bytes)
+        self.last_delivery_time = deliveries[-1][0]
+        self.latency_sum = latency_sum
+        self.latency_count += delivered - first
+        self.latency_max = latency_max
 
     # ------------------------------------------------------------- reporting
 

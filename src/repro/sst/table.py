@@ -9,6 +9,11 @@ Monotonicity is enforced at the write point for counter and flag
 columns: the whole protocol stack (batched acknowledgments, early lock
 release) relies on it, so violating it is a programming error that we
 fail loudly on.
+
+Column minimums the protocol tests on every pass (slot reuse,
+stability) are kept as column watermarks (:mod:`repro.sst.watermark`),
+fed at the two places a row replica changes: :meth:`SST.set` and
+:meth:`SST.note_remote_write`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import CellRegion
 from ..rdma.nic import RdmaNode
 from .fields import COUNTER, FLAG, SSTLayout
+from .watermark import ColumnWatermark
 
 __all__ = ["SST", "wire_ssts"]
 
@@ -59,6 +65,9 @@ class SST:
                 f"local node {self.node_id} not in members {self.members}"
             )
         self.rows: Dict[int, CellRegion] = {}
+        #: Row replica -> owner: tells this node's SST rows apart from
+        #: every other region registered on the node.
+        self.row_owners: Dict[CellRegion, int] = {}
         for owner in self.members:
             region = CellRegion(layout.cell_sizes,
                                 name=f"sst-row{owner}@{self.node_id}",
@@ -68,6 +77,9 @@ class SST:
             region.cells = layout.initial_values()  # spindle-lint: allow[sst-monotonic-write]
             node.register(region)
             self.rows[owner] = region
+            self.row_owners[region] = owner
+        #: column -> watermarks over it (see :meth:`watermark`).
+        self._watched: Dict[int, List[ColumnWatermark]] = {}
         #: rkeys of the replicas of *my* row at each peer (set by wire_ssts).
         self._remote_row_keys: Dict[int, int] = {}
         #: Count of push operations (RDMA writes) issued through this SST.
@@ -108,6 +120,19 @@ class SST:
                     SST.hb_read_hook(self, o)
         return [self.rows[o].read(col) for o in owners]
 
+    def watermark(self, col: int, owners: Sequence[int]) -> ColumnWatermark:
+        """An incrementally maintained ``min`` of column ``col`` over the
+        rows of ``owners``.
+
+        The watermark sees every :meth:`set` of the own row; remote
+        writes reach it through :meth:`note_remote_write`, which the
+        node's remote-write hook must call for every write landing in
+        a row replica that may cover ``col``.
+        """
+        wm = ColumnWatermark(self, col, owners)
+        self._watched.setdefault(col, []).append(wm)
+        return wm
+
     # ---------------------------------------------------------------- writes
 
     def set(self, col: int, value: Any) -> None:
@@ -132,8 +157,26 @@ class SST:
         # This is THE monotonic write point the lint pass funnels
         # everyone through; the raw write below is the one sanctioned use.
         row.write_local(col, value)  # spindle-lint: allow[sst-monotonic-write]
+        watched = self._watched.get(col)
+        if watched is not None:
+            for wm in watched:
+                wm.update(self.node_id, value)
         if SST.hb_hook is not None:
             SST.hb_hook(self, col, spec)
+
+    def note_remote_write(self, owner: int, offset: int,
+                          cells: Sequence[Any]) -> None:
+        """Feed a remote write that landed in ``owner``'s row replica,
+        covering columns ``[offset, offset + len(cells))``, to the
+        watermarks on those columns."""
+        watched = self._watched
+        col = offset
+        for value in cells:
+            wms = watched.get(col)
+            if wms is not None:
+                for wm in wms:
+                    wm.update(owner, value)
+            col += 1
 
     # ----------------------------------------------------------------- push
 

@@ -1,6 +1,8 @@
 """Unit tests for the metrics (core.stats), analysis formatting, units,
 and the experiment runner utilities."""
 
+import random
+
 import pytest
 
 from repro.analysis import figure_banner, format_table, gbps, ratio, usec
@@ -86,6 +88,47 @@ class TestSubgroupStats:
             stats.record_delivery(float(t + 1), 0, 1, float(t))
         assert len(stats.latency_samples) == 5
         assert stats.latency_count == 10
+
+    @staticmethod
+    def _delivery_state(stats):
+        hist = stats._latency_hist
+        return (stats.delivered, stats.bytes_delivered,
+                stats.first_delivery_time, stats.last_delivery_time,
+                stats.latency_sum, stats.latency_count, stats.latency_max,
+                list(stats.latency_samples), list(hist.counts), hist.sum,
+                hist.count, list(stats.delivery_curve),
+                dict(stats.interdelivery_sum),
+                dict(stats.interdelivery_count),
+                dict(stats.last_delivery_from))
+
+    @pytest.mark.parametrize("batched_upcall", [False, True])
+    def test_record_deliveries_equals_per_item_calls(self, batched_upcall):
+        """One record_deliveries call per delivery-trigger batch leaves
+        the stats bit-identical to one record_delivery per message. A
+        per-message upcall stamps each item at its own instant; a
+        batched upcall stamps the whole batch at one instant."""
+        rng = random.Random(11)
+        batches, now = [], 1.0
+        for _ in range(40):
+            batch = []
+            for _ in range(rng.randrange(0, 12)):
+                if not batched_upcall:
+                    now += rng.random() * 1e-6
+                batch.append((now, rng.randrange(4),
+                              rng.choice((64, 1024, 10240)),
+                              now - rng.random() * 1e-4))
+            now += 1e-6
+            batches.append(batch)
+        per_item = SubgroupStats(curve_stride=7, latency_sample_cap=50)
+        batched = SubgroupStats(curve_stride=7, latency_sample_cap=50)
+        for batch in batches:
+            for item in batch:
+                per_item.record_delivery(*item)
+            batched.record_deliveries(batch)
+        assert per_item.delivered > 50
+        assert len(per_item.delivery_curve) > 10
+        assert (self._delivery_state(batched)
+                == self._delivery_state(per_item))
 
 
 class TestAnalysisFormatting:
