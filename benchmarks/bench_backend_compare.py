@@ -18,7 +18,7 @@ from _common import emit, emit_bench_json, pick, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
-from repro.faults.scenarios import run_scenario
+from repro.workloads.scenarios import run_scenario
 from repro.workloads import single_subgroup
 
 BACKENDS = ["spindle", "paxos"]

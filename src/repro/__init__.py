@@ -27,8 +27,9 @@ __all__ = ["SpindleConfig", "TimingModel", "Cluster", "__version__"]
 
 
 def __getattr__(name):
-    # Lazy imports keep `import repro` light and avoid import cycles for
-    # subpackage-only users (e.g. repro.sim in the kernel tests).
+    # Lazy (PEP 562): every `import repro.<layer>` runs this file first,
+    # so eager imports here would make `import repro.sim` load the whole
+    # stack instead of its own 6 modules.
     if name in ("SpindleConfig", "TimingModel"):
         from .core import config
 

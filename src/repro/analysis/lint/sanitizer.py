@@ -113,7 +113,7 @@ class Sanitizer:
         for thread in self._threads:
             if thread.sim is not sim:
                 continue
-            if not getattr(thread.config, "early_lock_release", False):
+            if not thread.early_lock_release:
                 continue  # baseline config: posting under the lock is the point
             lock = thread.lock
             if lock.locked and lock.held_by is poster:
@@ -199,9 +199,6 @@ def enable_global(strict: bool = True, tracer: Any = None) -> Sanitizer:
     if _GLOBAL is not None:
         return _GLOBAL
 
-    # Initialize repro.core first: predicates.framework participates in
-    # an import cycle with core that only resolves core-side-first.
-    from ... import core as _core  # noqa: F401
     from ...predicates.framework import PredicateThread
     from ...rdma.fabric import RdmaFabric
     from ...sst.table import SST
@@ -240,7 +237,6 @@ def disable_global() -> Optional[Sanitizer]:
     global _GLOBAL
     if _GLOBAL is None:
         return None
-    from ... import core as _core  # noqa: F401 (import-cycle ordering)
     from ...predicates.framework import PredicateThread
     from ...rdma.fabric import RdmaFabric
     from ...sst.table import SST

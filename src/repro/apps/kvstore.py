@@ -27,8 +27,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from ..core.endpoint import OrderingEndpoint
 from ..core.multicast import Delivery
-from ..ordering.base import OrderingEndpoint
 from ..sim.sync import Event
 
 __all__ = ["KvCommand", "KvNode", "attach_store",

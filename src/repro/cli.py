@@ -131,7 +131,7 @@ def cmd_chaos(args) -> int:
     """Run named chaos scenarios (docs/FAULTS.md) across a seed sweep."""
     import json
 
-    from .faults.scenarios import SCENARIOS, run_scenario
+    from .workloads.scenarios import SCENARIOS, run_scenario
 
     if args.list:
         rows = [[name, (fn.__doc__ or "").strip().split("\n")[0]]
@@ -250,10 +250,12 @@ def cmd_recover(args) -> int:
     verdict (docs/RECOVERY.md)."""
     import json
 
-    from .faults.scenarios import (_Harness, _kv_rebuild_applier,
-                                   _wire_kv_epochs)
-    from .recovery import RecoveryConfig, TransferConfig, VsyncVerifier
+    from .recovery.coordinator import RecoveryConfig
+    from .recovery.transfer import TransferConfig
+    from .recovery.verify import VsyncVerifier
     from .sim.units import ms
+    from .workloads.scenarios import (_Harness, _kv_rebuild_applier,
+                                      _wire_kv_epochs)
 
     crash_node = (args.crash_node if args.crash_node is not None
                   else args.nodes - 1)
@@ -351,11 +353,8 @@ def cmd_metrics(args) -> int:
     (docs/METRICS.md): a snapshot in table/JSON/Prometheus form, and —
     with ``--profile`` — the per-stage pipeline time breakdown whose
     total must match the predicate-thread busy time."""
-    from .metrics import (
-        check_partition,
-        format_stage_profile,
-        stage_profile,
-    )
+    from .analysis.report import format_stage_profile
+    from .metrics import check_partition, stage_profile
     from .workloads.cluster import Cluster
     from .workloads.generators import continuous_sender
     from .workloads.runner import sender_set

@@ -91,8 +91,8 @@ class GroupNode:
         self.sst = SST(layout, fabric, rdma_node, view.members,
                        metrics=node_scope)
         self.thread = PredicateThread(
-            sim, config, self.timing, name=f"predicates@{self.node_id}",
-            metrics=node_scope,
+            sim, config.early_lock_release, self.timing.lock_op,
+            name=f"predicates@{self.node_id}", metrics=node_scope,
         )
         self.multicasts: Dict[int, SubgroupMulticast] = {}
         self.persistence: Dict[int, "PersistenceEngine"] = {}

@@ -52,7 +52,6 @@ from ..metrics.stages import (
     STAGE_RECEIVE_PREDICATE,
     STAGE_SEND_PREDICATE,
 )
-from ..ordering.base import OrderingEndpoint
 from ..predicates.framework import Predicate, PredicateThread
 from ..sim.engine import AtTime, Simulator
 from ..sim.sync import Doorbell
@@ -60,6 +59,7 @@ from ..smc.multicast import SMC, SubgroupColumns
 from ..smc.ring import SlotValue, contiguous_seq, seq_of
 from ..sst.table import SST
 from .config import SpindleConfig, TimingModel
+from .endpoint import OrderingEndpoint
 from .stats import SubgroupStats
 
 __all__ = ["SubgroupMulticast", "Delivery"]
@@ -88,7 +88,7 @@ class SubgroupMulticast(OrderingEndpoint):
     """One node's atomic multicast endpoint in one subgroup.
 
     The Spindle implementation of the
-    :class:`~repro.ordering.base.OrderingEndpoint` contract
+    :class:`~repro.core.endpoint.OrderingEndpoint` contract
     (docs/ORDERING.md): :meth:`propose` is :meth:`send`, the stable
     prefix is the min received column, and congestion is ring-window
     occupancy."""

@@ -26,9 +26,9 @@ Two kinds of decisions appear in the ledger:
   :class:`~repro.recovery.coordinator.RecoveryCoordinator` when it cuts
   an epoch to admit a rejoining member (wedge → settle → trim → install).
 
-The module is deliberately dependency-free (no protocol imports), so
-both :mod:`repro.core.view_change` and the recovery plane can use it
-without cycles.
+The module is dependency-free and lives in ``repro.core``, the lowest
+layer that uses it (:mod:`repro.core.view_change`); the recovery plane
+imports it from here.
 """
 
 from __future__ import annotations

@@ -58,11 +58,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..predicates.framework import Predicate
-from ..recovery.trim import compute_trim
 from ..sim.units import us
 from ..sst.fields import SSTLayout
 from ..sst.push import GuardedValue
 from .membership import View
+from .trim import compute_trim
 
 __all__ = ["MembershipColumns", "MembershipService"]
 
@@ -134,7 +134,7 @@ class MembershipService:
         self.pending_proposal: Optional[tuple] = None
         self.new_view: Optional[View] = None
         self.on_new_view: List[Callable[[View], None]] = []
-        #: Optional :class:`~repro.recovery.trim.TrimLedger` recording
+        #: Optional :class:`~repro.core.trim.TrimLedger` recording
         #: every proposal/commit for the virtual-synchrony verifier
         #: (wired by the Cluster; None = no auditing).
         self.trim_ledger = None
@@ -343,7 +343,7 @@ class _MembershipPredicate(Predicate):
             svc.published_failed = failed
             # Ragged-edge trim (paper §2.1): per subgroup, the minimum
             # received_num over the survivors — formalized in
-            # repro.recovery.trim so the decision is auditable.
+            # repro.core.trim so the decision is auditable.
             decision = compute_trim(
                 prior_view_id=svc.view.view_id,
                 next_view_id=svc.view.view_id + 1,

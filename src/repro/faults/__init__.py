@@ -7,7 +7,7 @@ thread stalls, crash + delayed-restart schedules — is driven through a
 declarative, JSON-serializable :class:`FaultSchedule`, so any run
 (including a failing CI seed) replays byte-identically.
 
-Three layers:
+Two layers:
 
 * :class:`FaultSchedule` / the ``*Event`` dataclasses — the declarative
   description, round-trippable through JSON (docs/FAULTS.md).
@@ -16,12 +16,13 @@ Three layers:
   (:attr:`~repro.rdma.nic.RdmaNode.fault_hook`), suspends/resumes
   :class:`~repro.sim.process.Process` threads, and crash-stops nodes.
   Reached via ``cluster.faults``.
-* :mod:`repro.faults.scenarios` — the named chaos-scenario catalog run
-  by ``spindle-repro chaos``.
+
+The named chaos-scenario catalog run by ``spindle-repro chaos`` builds
+whole clusters, so it lives a layer up, in
+:mod:`repro.workloads.scenarios`.
 """
 
 from .plane import FaultPlane
-from .scenarios import SCENARIOS, ScenarioResult, run_scenario
 from .schedule import (
     CrashEvent,
     FaultSchedule,
@@ -41,7 +42,4 @@ __all__ = [
     "StallEvent",
     "CrashEvent",
     "StorageFaultEvent",
-    "ScenarioResult",
-    "SCENARIOS",
-    "run_scenario",
 ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..metrics.registry import null_registry
 from ..rdma.nic import (
     DROP_INJECTED_LOSS,
     DROP_PARTITION,
@@ -120,8 +121,6 @@ class FaultPlane:
         # of metric calls.
         metrics = getattr(cluster, "metrics", None)
         if metrics is None or not getattr(metrics, "enabled", False):
-            from ..metrics.registry import null_registry
-
             metrics = null_registry()
         self.metrics = metrics
         if metrics.enabled:

@@ -33,7 +33,6 @@ from .stages import (
     STAGE_SST_POST,
     STAGE_TIME,
     check_partition,
-    format_stage_profile,
     stage_profile,
 )
 
@@ -47,5 +46,5 @@ __all__ = [
     "STAGE_DELIVERY_UPCALL", "STAGE_SEND_PREDICATE",
     "STAGE_DELIVERY_PREDICATE", "STAGE_OTHER_PREDICATE",
     "PARTITION_STAGES", "NESTED_STAGES",
-    "stage_profile", "format_stage_profile", "check_partition",
+    "stage_profile", "check_partition",
 ]

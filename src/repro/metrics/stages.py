@@ -29,7 +29,7 @@ under ``sst_post`` like any other control push:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from .registry import MetricsRegistry
 
@@ -41,7 +41,7 @@ __all__ = [
     "PARTITION_STAGES", "NESTED_STAGES",
     "TXN_STAGE_TIME", "TXN_STAGE_EXECUTE", "TXN_STAGE_VALIDATE_OR_LOCK",
     "TXN_STAGE_PREPARE", "TXN_STAGE_SETTLE", "TXN_STAGES",
-    "stage_profile", "format_stage_profile",
+    "stage_profile",
 ]
 
 #: The shared stage-timer metric name.
@@ -115,41 +115,6 @@ def stage_profile(registry: MetricsRegistry) -> Dict[str, Any]:
         "null_announce_pushes": registry.value(
             "spindle_null_announce_pushes_total"),
     }
-
-
-def format_stage_profile(profile: Dict[str, Any]) -> str:
-    """Render the §4.1.1-style per-stage breakdown as a table."""
-    from ..analysis.report import format_table
-
-    stages = profile["stages"]
-    busy = profile["predicate_busy"]
-    rows: List[List[str]] = []
-
-    def row(label: str, seconds: float, spans: Any) -> List[str]:
-        share = f"{seconds / busy * 100:5.1f}%" if busy else "    -"
-        return [label, f"{seconds * 1e3:10.3f}", share, f"{spans}"]
-
-    for stage in PARTITION_STAGES:
-        entry = stages.get(stage)
-        if entry is None:
-            continue
-        rows.append(row(stage, entry["seconds"], int(entry["spans"])))
-        if stage == STAGE_SST_POST:
-            for phase, seconds in sorted(profile["post_phases"].items()):
-                rows.append(["  . " + phase, f"{seconds * 1e3:10.3f}", "", ""])
-    rows.append(["stage total", f"{profile['partition_total'] * 1e3:10.3f}",
-                 "", ""])
-    rows.append(["predicate busy", f"{busy * 1e3:10.3f}", "", ""])
-    for stage in NESTED_STAGES:
-        entry = stages.get(stage)
-        if entry is None:
-            continue
-        rows.append(row(f"{stage} (nested)", entry["seconds"],
-                        int(entry["spans"])))
-    rows.append([STAGE_NULL_SEND_ANNOUNCE, "-", "",
-                 f"{int(profile['nulls_announced'])} nulls / "
-                 f"{int(profile['null_announce_pushes'])} pushes"])
-    return format_table(["stage", "time (ms)", "share", "events"], rows)
 
 
 def check_partition(profile: Dict[str, Any], tolerance: float = 0.05

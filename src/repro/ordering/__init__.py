@@ -2,7 +2,7 @@
 
 The atomic-multicast machinery is reached through two small contracts:
 
-* :class:`~repro.ordering.base.OrderingEndpoint` — one node's handle on
+* :class:`~repro.core.endpoint.OrderingEndpoint` — one node's handle on
   one subgroup's total order (propose / deliver-upcall / wedge /
   stable-prefix / congestion), implemented by the Spindle SST multicast
   (:class:`~repro.core.multicast.SubgroupMulticast`) and by the
@@ -11,32 +11,17 @@ The atomic-multicast machinery is reached through two small contracts:
   :class:`~repro.workloads.cluster.Cluster` uses to instantiate one
   group object per node for a view (``Cluster(backend="paxos")``).
 
-Submodules are loaded lazily (PEP 562): ``base`` must stay importable
-from ``repro.core`` without dragging the backend implementations (and
-their imports of ``repro.core``) into the cycle.
+This package exports the contracts only. The backends themselves come
+from :mod:`repro.ordering.spindle` and :mod:`repro.ordering.paxos`;
+:data:`BACKENDS` loads each one the first time it is chosen.
 """
 
-from .base import BACKENDS, OrderingBackend, OrderingEndpoint, resolve_backend
+from ..core.endpoint import OrderingEndpoint
+from .base import BACKENDS, OrderingBackend, resolve_backend
 
 __all__ = [
     "BACKENDS",
     "OrderingBackend",
     "OrderingEndpoint",
     "resolve_backend",
-    "SpindleBackend",
-    "PaxosBackend",
-    "PaxosConfig",
-    "PaxosEndpoint",
 ]
-
-
-def __getattr__(name):
-    if name == "SpindleBackend":
-        from .spindle import SpindleBackend
-
-        return SpindleBackend
-    if name in ("PaxosBackend", "PaxosConfig", "PaxosEndpoint"):
-        from . import paxos
-
-        return getattr(paxos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

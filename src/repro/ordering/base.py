@@ -1,102 +1,18 @@
-"""The ordering-backend contracts (docs/ORDERING.md).
+"""The ordering-backend contract (docs/ORDERING.md).
 
-Everything above the total order — the KV store, the sharded service
-plane, the workload generators, the benches — talks to the multicast
-through :class:`OrderingEndpoint`, and a cluster instantiates a
-protocol through :class:`OrderingBackend`. The contracts are
-deliberately small: the conformance suite
-(tests/test_ordering_conformance.py) is their executable definition.
-
-This module must not import from ``repro.core`` (the Spindle endpoint
-*is* a ``repro.core`` class and subclasses :class:`OrderingEndpoint`).
+A cluster instantiates a protocol through :class:`OrderingBackend`,
+chosen by name from :data:`BACKENDS`. The per-node handle each backend
+builds implements :class:`~repro.core.endpoint.OrderingEndpoint`, which
+lives in ``repro.core`` next to the Spindle multicast that implements
+it. The conformance suite (tests/test_ordering_conformance.py) is the
+executable definition of both contracts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict
 
-__all__ = ["OrderingEndpoint", "OrderingBackend", "BACKENDS",
-           "resolve_backend"]
-
-
-class OrderingEndpoint:
-    """One node's handle on one subgroup's total order.
-
-    Implementations guarantee, for the live members of a subgroup
-    (the conformance suite pins each of these):
-
-    * **total order** — all members deliver the same messages in the
-      same order;
-    * **per-sender FIFO, gap-free, exactly-once** — the k-th delivery
-      from sender rank ``r`` is ``r``'s k-th successful
-      :meth:`propose`, so propose tickets and delivery counts line up;
-    * **wedge-then-settle** — after :meth:`wedge` no new proposals are
-      accepted, outstanding ones resolve, and members' logs stay
-      order-consistent prefixes of one another.
-
-    Required attributes (set by implementations):
-
-    ``sim``, ``subgroup_id``, ``node_id``, ``members``, ``senders``,
-    ``my_rank`` (sender rank or None), ``window``, ``delivery_mode``,
-    ``wedged``, ``finished_sending``, ``stats``
-    (:class:`~repro.core.stats.SubgroupStats`).
-    """
-
-    #: True when the backend exposes a bounded ring/send window whose
-    #: occupancy is the natural congestion signal (Spindle's SST ring,
-    #: §2.3). Quorum backends without a shared ring derive congestion
-    #: from their in-flight proposal count instead; callers must not
-    #: reach for ``window_in_use`` unless this is set — use
-    #: :meth:`congestion`.
-    has_send_window: bool = False
-    #: True when the backend participates in the virtually-synchronous
-    #: membership/view-change plane (wedge + ragged trim + epoch
-    #: restart). Backends that handle failures internally (Paxos leader
-    #: change) set False, and the recovery coordinator refuses to drive
-    #: them.
-    view_synchronous: bool = False
-
-    # ----------------------------------------------------------- proposing
-
-    def propose(self, size: int, payload: Optional[bytes] = None
-                ) -> Generator[Any, Any, int]:
-        """Submit one message to the total order.
-
-        A generator for a simulated sender process to ``yield from``.
-        Blocks (in simulated time) while the backend's pipeline is
-        full; raises ``RuntimeError`` once :meth:`wedge` was called.
-        Returns the message's **per-sender ticket**: this sender's 0-based
-        proposal index, which equals the position of the message in the
-        sender's delivered FIFO (exactly-once + gap-freedom make the
-        k-th delivery from this sender carry ticket ``k``).
-        """
-        raise NotImplementedError
-
-    def mark_finished(self) -> None:
-        """Hint that this node will propose no more (workload end)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------- control
-
-    def wedge(self) -> None:
-        """Stop accepting new proposals (drain for a reconfiguration)."""
-        raise NotImplementedError
-
-    def stable_prefix(self) -> int:
-        """Highest sequence number this node knows to be delivered (or
-        deliverable) at *every* live member — Spindle's min received
-        column, Paxos's commit watermark. Monotonic."""
-        raise NotImplementedError
-
-    def congestion(self) -> float:
-        """Saturation of this sender's pipeline in ``[0, 1]``.
-
-        1.0 means the next :meth:`propose` would block (or the endpoint
-        is wedged). The request router's admission control is built on
-        this signal alone, so it works for backends with and without a
-        send window (docs/SHARDING.md).
-        """
-        raise NotImplementedError
+__all__ = ["OrderingBackend", "BACKENDS", "resolve_backend"]
 
 
 class OrderingBackend:
@@ -105,15 +21,16 @@ class OrderingBackend:
     ``build_groups`` returns one *group object* per view member. A
     group object mirrors the :class:`~repro.core.group.GroupNode`
     surface the cluster and apps rely on: ``subgroup(sg_id)`` (an
-    :class:`OrderingEndpoint`), ``on_delivery(sg_id, cb)``,
-    ``stats(sg_id)``, ``multicasts`` (dict, for tracers), ``start`` /
-    ``stop`` / ``kill`` / ``teardown``, ``protocol_processes(scope)``
-    (stall targets for fault injection), ``membership`` (None unless
-    view-synchronous) and ``persistence`` (dict, may be empty).
+    :class:`~repro.core.endpoint.OrderingEndpoint`),
+    ``on_delivery(sg_id, cb)``, ``stats(sg_id)``, ``multicasts`` (dict,
+    for tracers), ``start`` / ``stop`` / ``kill`` / ``teardown``,
+    ``protocol_processes(scope)`` (stall targets for fault injection),
+    ``membership`` (None unless view-synchronous) and ``persistence``
+    (dict, may be empty).
     """
 
     name: str = "abstract"
-    #: Mirrors :attr:`OrderingEndpoint.view_synchronous` for the whole
+    #: Mirrors ``OrderingEndpoint.view_synchronous`` for the whole
     #: backend: gates ``enable_membership`` and the recovery plane.
     view_synchronous: bool = False
     #: True when the protocol goes fully idle once the workload drains

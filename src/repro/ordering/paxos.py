@@ -7,7 +7,7 @@ acceptor / learner roles collapsed into one endpoint per member, as in
 practical deployments) running on the very same simulated RDMA fabric,
 timing model and fault plane as Spindle (see
 :mod:`repro.ordering.net`), behind the same
-:class:`~repro.ordering.base.OrderingEndpoint` contract.
+:class:`~repro.core.endpoint.OrderingEndpoint` contract.
 
 Protocol shape:
 
@@ -57,11 +57,13 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.config import TimingModel
+from ..core.endpoint import OrderingEndpoint
 from ..core.multicast import Delivery
 from ..core.stats import SubgroupStats
+from ..metrics.registry import null_registry
 from ..sim.sync import Doorbell
 from ..sim.units import us
-from .base import OrderingBackend, OrderingEndpoint
+from .base import OrderingBackend
 from .net import MessageTransport, encode_message, wire_transports
 
 __all__ = ["PaxosConfig", "PaxosEndpoint", "PaxosGroup", "PaxosBackend"]
@@ -865,8 +867,6 @@ class PaxosGroup:
     def __init__(self, sim, fabric, rdma_node, view, config: PaxosConfig,
                  timing: TimingModel, metrics=None, seed: int = 0,
                  storage=None):
-        from ..metrics.registry import null_registry
-
         self.sim = sim
         self.fabric = fabric
         self.rdma_node = rdma_node

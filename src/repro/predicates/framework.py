@@ -18,7 +18,7 @@ Protocol code supplies :class:`Predicate` objects:
 * ``trigger(value)`` is a generator that performs the body (yielding CPU
   costs as it goes) and *returns* an optional generator of deferred RDMA
   posts. The thread runs the posts inside or outside the lock depending
-  on ``SpindleConfig.early_lock_release``, and accounts the time spent
+  on its ``early_lock_release`` flag, and accounts the time spent
   posting (the paper's ">30 % of predicate-thread time" metric).
 
 When an iteration finds no work the thread parks on a doorbell, which is
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..core.config import SpindleConfig, TimingModel
 from ..metrics.registry import null_registry
 from ..metrics.stages import STAGE_OTHER_PREDICATE, STAGE_SST_POST, STAGE_TIME
 from ..sim.engine import AtTime, Simulator
@@ -75,19 +74,24 @@ class Predicate:
 
 
 class PredicateThread:
-    """The per-node polling thread plus its shared lock and doorbell."""
+    """The per-node polling thread plus its shared lock and doorbell.
+
+    ``early_lock_release`` (§3.4) posts a trigger's RDMA writes after
+    releasing the lock instead of under it; ``lock_op`` is the simulated
+    cost of one lock acquire or release.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        config: SpindleConfig,
-        timing: TimingModel,
+        early_lock_release: bool,
+        lock_op: float,
         name: str = "predicates",
         metrics: Optional[Any] = None,
     ):
         self.sim = sim
-        self.config = config
-        self.timing = timing
+        self.early_lock_release = early_lock_release
+        self.lock_op = lock_op
         self.name = name
         self.lock = Lock(sim, name=f"{name}.lock")
         self.doorbell = Doorbell(sim, name=f"{name}.bell")
@@ -168,7 +172,7 @@ class PredicateThread:
     # ------------------------------------------------------------- main loop
 
     def _run(self):
-        timing = self.timing
+        lock_op = self.lock_op
         while self._running:
             self.iterations += 1
             self._iterations_counter.inc()
@@ -182,7 +186,7 @@ class PredicateThread:
                 pass_start = self.sim.now
                 post_before = self.post_time
                 yield self.lock.acquire()
-                yield timing.lock_op
+                yield lock_op
                 pred_start = self.sim.now
                 self.evals_total += 1
                 cost, value = predicate.evaluate()
@@ -192,19 +196,19 @@ class PredicateThread:
                     self._triggers_counter.inc()
                     posts = yield from predicate.trigger(value)
                     self._account(predicate, self.sim.now - pred_start)
-                    if self.config.early_lock_release:
-                        yield timing.lock_op
+                    if self.early_lock_release:
+                        yield lock_op
                         self.lock.release()
                         if posts is not None:
                             yield from self._run_posts(posts, "postlock")
                     else:
                         if posts is not None:
                             yield from self._run_posts(posts, "prelock")
-                        yield timing.lock_op
+                        yield lock_op
                         self.lock.release()
                 else:
                     self._account(predicate, self.sim.now - pred_start)
-                    yield timing.lock_op
+                    yield lock_op
                     self.lock.release()
                 self._profile_stage(
                     predicate,
@@ -253,10 +257,9 @@ class PredicateThread:
         colliding turns differently than the reference loop
         (docs/ENGINE.md, "why falsy runs are not folded further").
         """
-        timing = self.timing
         sim = self.sim
         lock = self.lock
-        lock_op = timing.lock_op
+        lock_op = self.lock_op
         while self._running:
             self.iterations += 1
             self._iterations_counter.inc()
@@ -275,7 +278,7 @@ class PredicateThread:
                         yield cost
                         posts = yield from predicate.trigger(value)
                         self._account(predicate, sim.now - t_a)
-                        if self.config.early_lock_release:
+                        if self.early_lock_release:
                             yield lock_op
                             lock.release()
                             if posts is not None:
@@ -302,7 +305,7 @@ class PredicateThread:
                         self._triggers_counter.inc()
                         posts = yield from predicate.trigger(value)
                         self._account(predicate, sim.now - pred_start)
-                        if self.config.early_lock_release:
+                        if self.early_lock_release:
                             yield lock_op
                             lock.release()
                             if posts is not None:

@@ -1,15 +1,13 @@
 """Crash-recovery & rejoin plane (docs/RECOVERY.md).
 
-Modules:
+Modules (import names from them directly):
 
-* :mod:`repro.recovery.trim` — the ragged-edge trim formalized:
-  :class:`TrimDecision`, :class:`TrimLedger`, :func:`compute_trim`.
 * :mod:`repro.recovery.transfer` — chunked state transfer over the
   simulated fabric with per-chunk timeout, bounded exponential backoff
   with jitter, source failover and CRC validation.
 * :mod:`repro.recovery.coordinator` — the
-  :class:`RecoveryCoordinator` driving restart → replay → catch-up →
-  rejoin at the next epoch boundary.
+  :class:`~repro.recovery.coordinator.RecoveryCoordinator` driving
+  restart → replay → catch-up → rejoin at the next epoch boundary.
 * :mod:`repro.recovery.verify` — the cross-view virtual-synchrony
   safety verifier (atomicity, total order, gap-freedom, trim
   conformance).
@@ -17,79 +15,10 @@ Modules:
   every node restarts from its durable devices, logs reconcile
   longest-log-wins (docs/DURABILITY.md).
 
-Exports resolve lazily (PEP 562) so that :mod:`repro.core` modules can
-import :mod:`repro.recovery.trim` — which is dependency-free — without
-dragging the coordinator (and hence the core) back in.
+The ragged-edge trim the coordinator records lives in
+:mod:`repro.core.trim`, and coordinator-crash transaction recovery in
+:mod:`repro.txn.recover`. This package re-exports nothing: the sharded
+service imports :mod:`repro.recovery.transfer` into every cluster, and
+eager re-exports would load the coordinator, verifier and power-loss
+modules along with it.
 """
-
-from typing import TYPE_CHECKING
-
-__all__ = [
-    "TrimDecision",
-    "TrimLedger",
-    "compute_trim",
-    "TransferConfig",
-    "TransferOutcome",
-    "StateTransfer",
-    "encode_entries",
-    "decode_entries",
-    "RecoveryConfig",
-    "NodeRecovery",
-    "RecoveryCoordinator",
-    "VsyncVerifier",
-    "VsyncReport",
-    "PowerLossReport",
-    "recover_power_loss",
-    "TxnRecoveryReport",
-    "recover_txns",
-]
-
-_HOMES = {
-    "TrimDecision": "trim",
-    "TrimLedger": "trim",
-    "compute_trim": "trim",
-    "TransferConfig": "transfer",
-    "TransferOutcome": "transfer",
-    "StateTransfer": "transfer",
-    "encode_entries": "transfer",
-    "decode_entries": "transfer",
-    "RecoveryConfig": "coordinator",
-    "NodeRecovery": "coordinator",
-    "RecoveryCoordinator": "coordinator",
-    "VsyncVerifier": "verify",
-    "VsyncReport": "verify",
-    "PowerLossReport": "powerloss",
-    "recover_power_loss": "powerloss",
-    # Coordinator-crash txn recovery lives with the txn plane but is
-    # part of the recovery surface (docs/TRANSACTIONS.md).
-    "TxnRecoveryReport": "repro.txn.recover",
-    "recover_txns": "repro.txn.recover",
-}
-
-if TYPE_CHECKING:  # pragma: no cover - typing aid only
-    from .coordinator import NodeRecovery, RecoveryConfig, RecoveryCoordinator
-    from .powerloss import PowerLossReport, recover_power_loss
-    from .transfer import (StateTransfer, TransferConfig, TransferOutcome,
-                           decode_entries, encode_entries)
-    from .trim import TrimDecision, TrimLedger, compute_trim
-    from .verify import VsyncReport, VsyncVerifier
-    from ..txn.recover import TxnRecoveryReport, recover_txns  # noqa: F401
-
-
-def __getattr__(name):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    if "." in home:  # absolute home outside this package
-        module = importlib.import_module(home)
-    else:
-        module = importlib.import_module(f".{home}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

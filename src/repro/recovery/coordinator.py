@@ -21,7 +21,7 @@ and drives each revived node through four audited stages:
 4. **rejoin** — cut an epoch: wedge the survivors' subgroups, wait for
    in-flight traffic to settle, trim to the minimum received index
    (recorded as a ``kind="join"``
-   :class:`~repro.recovery.trim.TrimDecision` in the cluster's ledger),
+   :class:`~repro.core.trim.TrimDecision` in the cluster's ledger),
    drain the survivors' persistence engines, take a final tail sync so
    the adopted log is byte-complete, seed the joiner's durable log, and
    install ``view.with_joined([node])``. The joiner's application state
@@ -47,10 +47,10 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.membership import View
+from ..core.trim import TrimDecision, compute_trim
 from ..sim.units import us
 from .transfer import (StateTransfer, TransferConfig, TransferOutcome,
                        decode_entries, encode_entries)
-from .trim import TrimDecision, compute_trim
 
 __all__ = ["RecoveryConfig", "NodeRecovery", "RecoveryCoordinator"]
 

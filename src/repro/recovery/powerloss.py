@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.membership import View
 from ..storage.device import decode_log_entry, encode_log_entry
 
 __all__ = ["PowerLossReport", "recover_power_loss"]
@@ -71,8 +72,6 @@ def recover_power_loss(cluster) -> "PowerLossReport":
     installs the successor view (same members, same subgroups, next
     view id). Returns a :class:`PowerLossReport`.
     """
-    from ..core.membership import View
-
     report = PowerLossReport()
     dead = sorted(cluster.dead_nodes)
     if set(dead) != set(cluster.node_ids):

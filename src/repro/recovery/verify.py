@@ -15,7 +15,7 @@ A :class:`VsyncVerifier` attaches to a
 * an **epoch-end snapshot** of each node's ``delivered_seq`` /
   ``received_seq`` at the instant the old epoch is torn down;
 * the sequence of installed :class:`~repro.core.membership.View`\\ s;
-* the cluster's :class:`~repro.recovery.trim.TrimLedger`.
+* the cluster's :class:`~repro.core.trim.TrimLedger`.
 
 ``check()`` then audits four invariant families across *all* recorded
 epochs:
@@ -30,12 +30,12 @@ epochs:
    numbers are shared with §3.3 null rounds, which are skipped without
    an upcall, so the union over members defines which seqs were real).
 3. **Trim conformance** — for every committed
-   :class:`~repro.recovery.trim.TrimDecision`, no survivor delivered
+   :class:`~repro.core.trim.TrimDecision`, no survivor delivered
    past the trim in the ending view, and every survivor delivered
    *through* it (the force-delivered prefix), as witnessed by both the
    recorded upcalls and the epoch-end counter snapshot.
 4. **Ledger coherence** — divergent trim commits recorded by the
-   :class:`~repro.recovery.trim.TrimLedger` are surfaced verbatim.
+   :class:`~repro.core.trim.TrimLedger` are surfaced verbatim.
 
 The verifier is read-only: it never perturbs protocol timing beyond the
 (simulated-zero-cost) Python callbacks, so a run with the verifier

@@ -14,7 +14,7 @@ The router:
   ``retry_after`` hint when the shard's queue is full, or when the
   hosting subgroup's sender pipeline is saturated — the congestion
   signal is the backend-generic
-  :meth:`~repro.ordering.base.OrderingEndpoint.congestion` (on Spindle:
+  :meth:`~repro.core.endpoint.OrderingEndpoint.congestion` (on Spindle:
   the SST stability counters, since slots stay occupied exactly until
   the slowest member's delivered/received column passes them, §2.3; on
   Paxos: the in-flight proposal fraction). Without this, open-loop
@@ -283,7 +283,7 @@ class ShardRouter:
 
     def congestion(self, shard: int) -> float:
         """Saturation of the hosting subgroup's gateway in [0, 1], via
-        :meth:`~repro.ordering.base.OrderingEndpoint.congestion` — ring
+        :meth:`~repro.core.endpoint.OrderingEndpoint.congestion` — ring
         occupancy on Spindle, in-flight proposal count on quorum
         backends, 1.0 when wedged. The router never reaches into SST
         internals, so admission control works on any backend."""

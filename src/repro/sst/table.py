@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 
+from ..metrics.registry import null_registry
 from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import CellRegion
 from ..rdma.nic import RdmaNode
@@ -87,8 +88,6 @@ class SST:
         #: Registry counter mirroring pushes_posted (docs/METRICS.md);
         #: a shared no-op when no metrics scope is given.
         if metrics is None:
-            from ..metrics.registry import null_registry
-
             metrics = null_registry()
         self._push_counter = metrics.counter(
             "spindle_sst_pushes_total",

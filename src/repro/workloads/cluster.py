@@ -22,16 +22,20 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.config import SpindleConfig, TimingModel
+from ..core.endpoint import OrderingEndpoint
 from ..core.group import GroupNode
 from ..core.membership import SubgroupSpec, View
 from ..core.persistence import StorageModel
+from ..core.trim import TrimLedger
 from ..metrics.registry import MetricsRegistry, registry_enabled_from_env
-from ..ordering.base import OrderingEndpoint, resolve_backend
+from ..metrics.stages import stage_profile
+from ..ordering.base import resolve_backend
 from ..rdma.fabric import RdmaFabric
 from ..rdma.latency import LatencyModel
-from ..recovery.trim import TrimLedger
+from ..shard import build_shard_plane
 from ..sim.engine import Simulator
 from ..storage.device import ClusterStorage, decode_log_entry, encode_log_entry
+from ..txn import TxnPlane
 
 __all__ = ["Cluster"]
 
@@ -196,13 +200,11 @@ class Cluster:
         if self._router is None:
             if not self._built:
                 raise RuntimeError("build() the cluster before router()")
-            from ..shard import build_shard_plane
-
             self._router = build_shard_plane(
                 self, config=config, transfer_config=transfer_config)
         return self._router
 
-    def txn(self, config=None) -> "TxnPlane":
+    def txn(self, config=None) -> TxnPlane:
         """The cross-shard transaction plane (built lazily over
         :meth:`router` on first access; docs/TRANSACTIONS.md)::
 
@@ -211,8 +213,6 @@ class Cluster:
                 TxnOp("put", b"a", b"1"), TxnOp("put", b"b", b"2")])
         """
         if self._txn_plane is None:
-            from ..txn import TxnPlane
-
             self._txn_plane = TxnPlane(self.router(), config=config)
         return self._txn_plane
 
@@ -343,8 +343,6 @@ class Cluster:
 
     def stage_profile(self) -> dict:
         """The §4.1.1 per-stage time breakdown (docs/METRICS.md)."""
-        from ..metrics.stages import stage_profile
-
         return stage_profile(self.metrics)
 
     def install_view(self, new_view: View) -> None:
@@ -449,6 +447,7 @@ class Cluster:
         """
         if self._recovery is None:
             self._require_view_synchrony("the recovery coordinator")
+            # Deferred: only recovery runs load the coordinator.
             from ..recovery.coordinator import RecoveryCoordinator
 
             self._recovery = RecoveryCoordinator(self).attach()
@@ -469,6 +468,7 @@ class Cluster:
         if self._recovery is not None:
             raise RuntimeError("recovery coordinator already created")
         self._require_view_synchrony("the recovery coordinator")
+        # Deferred: only recovery runs load the coordinator.
         from ..recovery.coordinator import RecoveryCoordinator
 
         self._recovery = RecoveryCoordinator(self, config).attach()
@@ -486,6 +486,7 @@ class Cluster:
                                      at=ms(1), heal_at=ms(2))
         """
         if self._faults is None:
+            # Deferred: fault-free runs never load the fault plane.
             from ..faults.plane import FaultPlane
 
             self._faults = FaultPlane(self)

@@ -13,7 +13,7 @@ byte-identical delivery logs and trace fingerprints — that property is
 pinned by tests/test_chaos_determinism.py and re-checked on every
 ``spindle-repro chaos`` invocation via ``--repeat``.
 
-    from repro.faults.scenarios import run_scenario, SCENARIOS
+    from repro.workloads.scenarios import run_scenario, SCENARIOS
     result = run_scenario("partition-heal", seed=7)
     assert result.ok, result.problems
 """
@@ -24,7 +24,23 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..analysis.linearize import (HistoryRecorder, TxnHistoryRecorder,
+                                  check_recorder, check_txn_recorder,
+                                  selftest, txn_selftest)
+from ..analysis.trace import Tracer
+from ..apps.kvstore import attach_store
+from ..core.config import SpindleConfig
+from ..ordering.paxos import PaxosBackend, PaxosConfig
+from ..recovery.coordinator import RecoveryConfig
+from ..recovery.powerloss import recover_power_loss
+from ..recovery.transfer import TransferConfig
+from ..recovery.verify import VsyncVerifier
+from ..shard import RouterConfig
 from ..sim.units import ms, us
+from ..txn import TxnConfig, TxnOp
+from ..txn.recover import recover_txns
+from .cluster import Cluster
+from .generators import continuous_sender
 
 __all__ = ["ScenarioResult", "SCENARIOS", "run_scenario", "scenario_names"]
 
@@ -80,10 +96,6 @@ class _Harness:
                  membership: Optional[dict] = None,
                  count: int = 0, size: int = 512, window: int = 10,
                  persistent: bool = False):
-        from ..analysis.trace import Tracer
-        from ..core.config import SpindleConfig
-        from ..workloads import Cluster, continuous_sender
-
         self.cluster = Cluster(num_nodes=num_nodes,
                                config=SpindleConfig.optimized(), seed=seed)
         self.cluster.add_subgroup(message_size=size, window=window,
@@ -348,8 +360,6 @@ def _wire_kv_epochs(h: _Harness, stores: dict, *,
     seen in a later view (the rejoiner) gets a fresh store, which the
     recovery applier then rebuilds from the durable log.
     """
-    from ..apps.kvstore import attach_store
-
     cluster = h.cluster
 
     def writer(store, view_id: int, nid: int):
@@ -407,8 +417,6 @@ def _finish_audit(problems: List[str], notes: List[str],
                   recorder) -> dict:
     """Run the auditor's seeded-violation self-test, then the real
     check; fold violations into the scenario verdict."""
-    from ..analysis.linearize import check_recorder, selftest
-
     selftest_ok, _ = selftest()
     if not selftest_ok:
         problems.append("linearizability auditor failed its self-test")
@@ -446,9 +454,6 @@ def scenario_crash_restart_rejoin(seed: int) -> ScenarioResult:
     sync) and installs view 2 with the node readmitted. The rejoiner's
     KV state must converge to a byte-identical checksum and the
     cross-view virtual-synchrony verifier must find zero violations."""
-    from ..analysis.linearize import HistoryRecorder
-    from ..recovery import RecoveryConfig, TransferConfig, VsyncVerifier
-
     h = _Harness(4, seed, size=256, window=8, persistent=True,
                  membership=dict(heartbeat_period=us(100),
                                  suspicion_timeout=us(500)))
@@ -539,9 +544,6 @@ def scenario_mid_transfer_source_crash(seed: int) -> ScenarioResult:
     failure view change (view 2 excludes node 0) races the join cut.
     Node 4 must still rejoin, converge, and the verifier must hold
     across all three view transitions."""
-    from ..analysis.linearize import HistoryRecorder
-    from ..recovery import RecoveryConfig, TransferConfig, VsyncVerifier
-
     h = _Harness(5, seed, size=256, window=8, persistent=True,
                  membership=dict(heartbeat_period=us(100),
                                  suspicion_timeout=us(500)))
@@ -660,13 +662,11 @@ def scenario_power_loss(seed: int) -> ScenarioResult:
     """Whole-cluster power loss mid-stream: every node crash-stops in
     the same instant (write caches die — un-fsynced tails are gone;
     fsynced bytes survive), the lights come back, and storage-only
-    recovery (:func:`repro.recovery.recover_power_loss`) reopens every
+    recovery (:func:`repro.recovery.powerloss.recover_power_loss`) reopens every
     device, reconciles longest-log-wins, and installs the successor
     view. The contract: every entry whose durability watermark fired
     (fsynced on ALL members) is in every recovered log — un-fsynced
     tail entries may vanish, they were never acknowledged."""
-    from ..recovery import recover_power_loss
-
     h = _Harness(4, seed, count=120, size=256, window=8, persistent=True)
     h.track_epochs()
     cluster = h.cluster
@@ -717,8 +717,6 @@ def scenario_torn_write(seed: int) -> ScenarioResult:
     must still hold — the stall froze the durability watermark early,
     so everything past it was never acknowledged and is legitimately
     discardable."""
-    from ..recovery import recover_power_loss
-
     h = _Harness(4, seed, count=120, size=256, window=8, persistent=True)
     h.track_epochs()
     cluster = h.cluster
@@ -784,13 +782,8 @@ class _PaxosHarness(_Harness):
                  senders: Optional[List[int]] = None, size: int = 512,
                  window: int = 8, send_gap: float = 0.0,
                  paxos_config=None):
-        from ..analysis.trace import Tracer
-        from ..core.config import SpindleConfig
-        from ..workloads import Cluster, continuous_sender
-
         backend = "paxos"
         if paxos_config is not None:
-            from ..ordering.paxos import PaxosBackend
             backend = PaxosBackend(paxos_config)
         self.cluster = Cluster(num_nodes=num_nodes,
                                config=SpindleConfig.optimized(), seed=seed,
@@ -918,8 +911,6 @@ def scenario_power_loss_paxos(seed: int) -> ScenarioResult:
     no view change: a majority of durable accepts IS the truth, and
     every pre-crash delivery is an acknowledged write whose loss fails
     the scenario."""
-    from ..ordering.paxos import PaxosConfig
-
     h = _PaxosHarness(3, seed, count=20, size=256, send_gap=us(30),
                       paxos_config=PaxosConfig(durable_acceptors=True))
     cluster = h.cluster
@@ -981,10 +972,6 @@ class _ShardHarness(_Harness):
                  replication: int, num_subgroups: Optional[int] = None,
                  membership: Optional[dict] = None, window: int = 16,
                  size: int = 256, persistent: bool = False):
-        from ..analysis.trace import Tracer
-        from ..core.config import SpindleConfig
-        from ..workloads import Cluster
-
         self.cluster = Cluster(num_nodes=num_nodes,
                                config=SpindleConfig.optimized(), seed=seed)
         self.cluster.add_shards(num_shards=num_shards,
@@ -1147,9 +1134,6 @@ def scenario_shard_failover(seed: int) -> ScenarioResult:
     replays exactly-once even when the original committed pre-wedge),
     so that **every client request still completes "ok"** and the
     cross-shard verifier finds zero violations."""
-    from ..analysis.linearize import HistoryRecorder
-    from ..shard import RouterConfig
-
     h = _ShardHarness(6, seed, num_shards=4, replication=3,
                       num_subgroups=2, window=8,
                       membership=dict(heartbeat_period=us(100),
@@ -1214,8 +1198,6 @@ def scenario_rebalance_under_load(seed: int) -> ScenarioResult:
     agreement, map flip, source delete — docs/SHARDING.md) must commit
     with zero data loss: every client write lands "ok", queued requests
     re-route to the target, and the cross-shard verifier agrees."""
-    from ..analysis.linearize import HistoryRecorder
-
     h = _ShardHarness(6, seed, num_shards=6, replication=2,
                       num_subgroups=3, window=8)
     cluster = h.cluster
@@ -1348,8 +1330,6 @@ def _finish_txn_audit(problems: List[str], notes: List[str],
                       recorder) -> dict:
     """Self-test the txn auditor, then run the strict-serializability
     check; fold violations into the scenario verdict."""
-    from ..analysis.linearize import check_txn_recorder, txn_selftest
-
     selftest_ok, _ = txn_selftest()
     if not selftest_ok:
         problems.append("txn serializability auditor failed its self-test")
@@ -1374,10 +1354,6 @@ def scenario_txn_coordinator_crash(seed: int) -> ScenarioResult:
     WAL's logged verdicts — no acked write lost, no transaction torn
     across shards, and the txn-granular strict-serializability audit
     must pass over the whole run."""
-    from ..analysis.linearize import TxnHistoryRecorder
-    from ..txn import TxnConfig, TxnOp
-    from ..txn.recover import recover_txns
-
     # 2 subgroups x replication 2 consume nodes 0-3; node 4 hosts only
     # the coordinator (and its WAL device).
     h = _ShardHarness(5, seed, num_shards=4, replication=2,
@@ -1566,9 +1542,6 @@ def scenario_txn_rebalance_open(seed: int) -> ScenarioResult:
     releases it must cut through the frozen router lane (the reserved
     settle lane), or the two would deadlock. Zero write loss, clean
     checksum hand-off, and a passing strict-serializability audit."""
-    from ..analysis.linearize import TxnHistoryRecorder
-    from ..txn import TxnConfig, TxnOp
-
     h = _ShardHarness(6, seed, num_shards=6, replication=2,
                       num_subgroups=3, window=8)
     cluster = h.cluster

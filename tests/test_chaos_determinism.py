@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import SpindleConfig
 from repro.faults import FaultSchedule
-from repro.faults.scenarios import SCENARIOS, run_scenario
+from repro.workloads.scenarios import SCENARIOS, run_scenario
 from repro.analysis.trace import Tracer
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, continuous_sender

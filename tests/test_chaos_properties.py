@@ -65,9 +65,12 @@ def test_quiescence_under_jitter_and_stalls(n, sender_mask, count, extra_us,
     for nid in senders:
         cluster.spawn_sender(continuous_sender(
             cluster.mc(nid, 0), count=count, size=256))
-    if extra_us or jitter_us:
-        cluster.faults.jitter(until=ms(30), extra_latency=us(extra_us),
-                              jitter=us(jitter_us), at=0.0)
+    # Convert before testing: a subnormal microsecond draw underflows to
+    # 0.0 s, and an all-zero jitter window is (rightly) rejected.
+    extra, jitter = us(extra_us), us(jitter_us)
+    if extra or jitter:
+        cluster.faults.jitter(until=ms(30), extra_latency=extra,
+                              jitter=jitter, at=0.0)
     cluster.faults.stall(stall_node_idx % n, duration=us(stall_dur_us),
                          at=us(stall_at_us))
     # The invariant: the run reaches quiescence (raises otherwise) ...

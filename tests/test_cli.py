@@ -65,7 +65,7 @@ class TestCli:
 
 class TestChaosCli:
     def test_list_names_every_scenario(self, capsys):
-        from repro.faults.scenarios import SCENARIOS
+        from repro.workloads.scenarios import SCENARIOS
 
         code, out = run_cli(capsys, "chaos", "--list")
         assert code == 0
@@ -108,7 +108,7 @@ class TestChaosCli:
                                                  monkeypatch):
         import json
 
-        from repro.faults.scenarios import SCENARIOS, ScenarioResult
+        from repro.workloads.scenarios import SCENARIOS, ScenarioResult
 
         def broken(seed):
             return ScenarioResult(

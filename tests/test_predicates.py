@@ -40,8 +40,9 @@ class CountingPredicate(Predicate):
 
 def make_thread(config=None):
     sim = Simulator()
-    thread = PredicateThread(sim, config or SpindleConfig.baseline(),
-                             TimingModel())
+    config = config or SpindleConfig.baseline()
+    thread = PredicateThread(sim, config.early_lock_release,
+                             TimingModel().lock_op)
     return sim, thread
 
 

@@ -13,18 +13,17 @@
 import pytest
 
 from repro.core.config import SpindleConfig
+from repro.core.trim import TrimLedger, compute_trim
 from repro.faults import FaultSchedule
 from repro.rdma.fabric import RdmaFabric
-from repro.recovery import (
-    RecoveryConfig,
+from repro.recovery.coordinator import RecoveryConfig
+from repro.recovery.transfer import (
     StateTransfer,
     TransferConfig,
-    TrimLedger,
-    VsyncVerifier,
-    compute_trim,
     decode_entries,
     encode_entries,
 )
+from repro.recovery.verify import VsyncVerifier
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, continuous_sender
@@ -387,13 +386,13 @@ class TestCrashRestartBookkeeping:
 
 class TestRecoveryScenarios:
     def test_crash_restart_rejoin_scenario(self):
-        from repro.faults.scenarios import run_scenario
+        from repro.workloads.scenarios import run_scenario
 
         result = run_scenario("crash-restart-rejoin", seed=0)
         assert result.ok, result.problems
 
     def test_mid_transfer_source_crash_scenario(self):
-        from repro.faults.scenarios import run_scenario
+        from repro.workloads.scenarios import run_scenario
 
         result = run_scenario("mid-transfer-source-crash", seed=0)
         assert result.ok, result.problems
@@ -482,7 +481,7 @@ class TestRecoveryScenarios:
         assert vs.epochs_checked >= 3
 
     def test_recovery_metrics_counters(self):
-        from repro.faults.scenarios import SCENARIOS  # noqa: F401 (import check)
+        from repro.workloads.scenarios import SCENARIOS  # noqa: F401 (import check)
 
         cluster = Cluster(3, config=SpindleConfig.optimized(), seed=1)
         cluster.add_subgroup(message_size=256, window=8, persistent=True)

@@ -49,7 +49,8 @@ def build_pair(config):
         n.node_id: SST(layout(), fabric, n, [0, 1]) for n in nodes
     }
     wire_ssts(ssts)
-    thread = PredicateThread(sim, config, TimingModel(), name="pt0")
+    thread = PredicateThread(sim, config.early_lock_release,
+                             TimingModel().lock_op, name="pt0")
     return sim, fabric, ssts, thread
 
 

@@ -24,7 +24,7 @@ import pytest
 from repro.core.config import SpindleConfig
 from repro.core.membership import SubgroupSpec, View
 from repro.faults import FaultSchedule
-from repro.faults.scenarios import run_scenario
+from repro.workloads.scenarios import run_scenario
 from repro.shard import RouterConfig, ShardMap, key_hash
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, SloStats, open_loop_client

@@ -27,7 +27,6 @@ from repro.txn import (
     TxnConfig,
     TxnHandle,
     TxnOp,
-    recover_txns,
 )
 from repro.txn.records import (
     W_PUT,
@@ -39,6 +38,7 @@ from repro.txn.records import (
     encode_settle,
     encode_wal,
 )
+from repro.txn.recover import recover_txns
 from repro.workloads import Cluster
 
 
@@ -485,7 +485,7 @@ def test_txn_checker_selftest():
 @pytest.mark.parametrize("name", ["txn-coordinator-crash",
                                   "txn-rebalance-open"])
 def test_txn_scenarios_pass_and_audit(name):
-    from repro.faults.scenarios import run_scenario
+    from repro.workloads.scenarios import run_scenario
     for seed in (0, 5):
         result = run_scenario(name, seed)
         assert result.ok, (name, seed, result.problems)
