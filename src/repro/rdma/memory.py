@@ -16,20 +16,21 @@ Two granularities are provided:
 
 A remote write carries a :class:`WriteSnapshot` — an immutable copy of
 the source cells/bytes taken at post time, exactly like a real NIC DMA
-from pinned memory.
+from pinned memory. Being immutable, one snapshot may back any number of
+writes: the SST pushes one span to k peers from a single copy, as a NIC
+DMA-reads one pinned buffer for every queue pair (docs/ENGINE.md, "The
+RDMA write path").
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["Region", "ByteRegion", "CellRegion", "WriteSnapshot"]
 
 
-@dataclass(frozen=True)
-class WriteSnapshot:
+class WriteSnapshot(NamedTuple):
     """Immutable payload of an RDMA write: (offset, data, size_bytes).
 
     For a :class:`ByteRegion`, ``data`` is ``bytes`` and ``offset`` is a
@@ -233,26 +234,59 @@ class CellRegion(Region):
 
     def snapshot(self, offset: int, length: int) -> WriteSnapshot:
         self._check(offset, length)
+        if not length:
+            return WriteSnapshot(offset, (), 0)
+        code = self._code
+        end = offset + length
+        # A span of one storage class copies by slice; only mixed spans
+        # pay the per-cell loop (docs/ENGINE.md, "The RDMA write path").
+        c = code[offset]
+        if code.count(c, offset, end) != length:
+            data = self._copy_cells(offset, end)
+        elif c == _CELL_OBJ:
+            data = tuple(self._objs[offset:end])
+        elif c == _CELL_INT:
+            data = tuple(self._ints[offset:end])
+        else:
+            data = tuple(map(bool, self._ints[offset:end]))
+        return WriteSnapshot(
+            offset, data, self._prefix[end] - self._prefix[offset])
+
+    def _copy_cells(self, offset: int, end: int) -> Tuple[Any, ...]:
+        """Per-cell copy of the mixed span ``[offset, end)``."""
         code = self._code
         ints = self._ints
         objs = self._objs
-        data = tuple(
+        return tuple(
             objs[i] if code[i] == 0 else
             (ints[i] if code[i] == 1 else bool(ints[i]))
-            for i in range(offset, offset + length)
-        )
-        return WriteSnapshot(
-            offset, data, self._prefix[offset + length] - self._prefix[offset]
+            for i in range(offset, end)
         )
 
     def apply_write(self, snap: WriteSnapshot) -> None:
-        self._check(snap.offset, len(snap.data))
+        offset, data, _ = snap
+        length = len(data)
+        self._check(offset, length)
         # Incoming RDMA writes carry peers' rows; monotonicity of those is
         # the *sender's* obligation, enforced at its SST write point.
         # spindle-lint: allow[sst-monotonic-write]
         self.version += 1
-        i = snap.offset
-        for value in snap.data:
+        if not length:
+            return
+        end = offset + length
+        code = self._code
+        c = code[offset]
+        if code.count(c, offset, end) == length:
+            if c == _CELL_OBJ:
+                self._objs[offset:end] = data
+                return
+            try:  # counter or flag cells: one machine-word slice
+                self._ints[offset:end] = array("q", data)
+                return
+            except (TypeError, OverflowError):
+                pass  # a value needs demoting: take the per-cell path
+        i = offset
+        for value in data:
             self._store(i, value)
             i += 1
 

@@ -195,21 +195,36 @@ class QueuePair:
         remote_offset: int,
         length: int,
         on_complete: Optional[Callable[[], None]] = None,
+        *,
+        snapshot: Optional[WriteSnapshot] = None,
     ) -> None:
         """Post a one-sided write of ``length`` units to the remote region.
 
         The source span is snapshotted *now* (DMA from pinned memory);
-        later local mutations do not affect the in-flight write. If
-        either endpoint is down the write is silently dropped, matching
-        the behaviour the membership protocol must tolerate. An
-        installed fault hook may additionally drop, hold, or delay the
-        write (docs/FAULTS.md).
+        later local mutations do not affect the in-flight write. A caller
+        posting one unchanged span on several queue pairs may pass the
+        span's current ``snapshot`` (``local_region.snapshot(local_offset,
+        length)``, taken since the region's last mutation) instead of
+        having each post copy it again. If either endpoint is down the
+        write is dropped and counted under its reason code, matching the
+        behaviour the membership protocol must tolerate. An installed
+        fault hook may additionally drop, hold, or delay the write
+        (docs/FAULTS.md).
         """
         src, dst = self.src, self.dst
         if not src.alive:
             src.count_drop(DROP_SRC_DOWN)
             return
-        snap = local_region.snapshot(local_offset, length)
+        if snapshot is None:
+            snap = local_region.snapshot(local_offset, length)
+        elif snapshot.offset != local_offset or len(snapshot.data) != length:
+            raise ValueError(
+                f"snapshot covers [{snapshot.offset}, "
+                f"{snapshot.offset + len(snapshot.data)}), not the posted "
+                f"span [{local_offset}, {local_offset + length})"
+            )
+        else:
+            snap = snapshot
         size = snap.size_bytes
         sim = src.sim
         model = src.latency
@@ -229,7 +244,10 @@ class QueuePair:
             hook(self, snap)
 
         decision = src.fault_hook(self, size) if src.fault_hook else None
-        remote_snap = WriteSnapshot(remote_offset, snap.data, size)
+        # Snapshots are immutable, so the local one doubles as the
+        # remote payload whenever the offsets agree.
+        remote_snap = (snap if remote_offset == local_offset
+                       else WriteSnapshot(remote_offset, snap.data, size))
         if decision is not None and decision.drop_reason is not None:
             src.count_drop(decision.drop_reason)
         elif decision is not None and decision.hold is not None:
@@ -241,11 +259,12 @@ class QueuePair:
             arrival = max(finish + model.wire_latency(size) + extra,
                           self._last_arrival + _ORDERING_EPS)
             self._last_arrival = arrival
-            sim.call_at(arrival, self._arrive, remote_snap, remote_key)
+            # Arrivals and completions are never cancelled: no Timer.
+            sim.post_at(arrival, self._arrive, remote_snap, remote_key)
         else:
             src.count_drop(DROP_DST_DOWN_AT_POST)
         if on_complete is not None:
-            sim.call_at(finish, on_complete)
+            sim.post_at(finish, on_complete)
 
     def deliver_held(self, snap: WriteSnapshot, remote_key: int) -> None:
         """Redeliver a write that was held across a transient cut.
@@ -258,7 +277,7 @@ class QueuePair:
         arrival = max(sim.now + self.src.latency.wire_latency(snap.size_bytes),
                       self._last_arrival + _ORDERING_EPS)
         self._last_arrival = arrival
-        sim.call_at(arrival, self._arrive, snap, remote_key)
+        sim.post_at(arrival, self._arrive, snap, remote_key)
 
     def _arrive(self, snap: WriteSnapshot, remote_key: int) -> None:
         if self.dst.alive:

@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 from ..metrics.registry import null_registry
 from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import CellRegion
-from ..rdma.nic import RdmaNode
+from ..rdma.nic import QueuePair, RdmaNode
 from .fields import COUNTER, FLAG, SSTLayout
 from .watermark import ColumnWatermark
 
@@ -83,6 +83,8 @@ class SST:
         self._watched: Dict[int, List[ColumnWatermark]] = {}
         #: rkeys of the replicas of *my* row at each peer (set by wire_ssts).
         self._remote_row_keys: Dict[int, int] = {}
+        #: Queue pairs to peers, cached by destination on first push.
+        self._qps: Dict[int, QueuePair] = {}
         #: Count of push operations (RDMA writes) issued through this SST.
         self.pushes_posted = 0
         #: Registry counter mirroring pushes_posted (docs/METRICS.md);
@@ -197,15 +199,27 @@ class SST:
         if targets is None:
             targets = self.members
         row = self.rows[self.node_id]
+        length = col_hi - col_lo
         post_cost = self.fabric.latency.post_overhead
+        qps = self._qps
+        # One copy of the span serves every target. The row's version
+        # moves on any mutation (e.g. an SST.set by another thread during
+        # a post_cost yield), and only then is the span copied again, so
+        # each write still carries the row as it was at its post instant.
+        snap = None
+        version = -1
         for dst in targets:
             if dst == self.node_id:
                 continue
             yield post_cost
-            qp = self.fabric.queue_pair(self.node_id, dst)
-            qp.post_write(
-                row, col_lo, self._remote_row_keys[dst], col_lo, col_hi - col_lo
-            )
+            qp = qps.get(dst)
+            if qp is None:
+                qp = qps[dst] = self.fabric.queue_pair(self.node_id, dst)
+            if row.version != version:
+                version = row.version
+                snap = row.snapshot(col_lo, length)
+            qp.post_write(row, col_lo, self._remote_row_keys[dst], col_lo,
+                          length, snapshot=snap)
             self.pushes_posted += 1
             self._push_counter.inc()
             for hook in self.on_push:
