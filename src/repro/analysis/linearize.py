@@ -1,11 +1,15 @@
-"""Black-box linearizability auditor for KV histories.
+"""Black-box linearizability and strict-serializability auditor.
 
-Records per-client invoke/complete histories from the KV and shard
-workloads and checks them against a sequential register per key — a
-Wing–Gong search made tractable by P-compositionality: a history over
-many keys is linearizable iff each per-key sub-history is, so keys are
-checked independently (the classical result linearizability composes
-by object).
+Records per-client invoke/complete histories from the KV, shard and
+transaction workloads and checks them with one Wing–Gong search over
+transactions: a KV ``put`` is a one-key txn writing its value, a
+``get`` one reading it. The history is split into connected components
+by key overlap (txns sharing a read or write key belong together) and
+each component is searched alone — exact, because linearizability
+composes by object (Herlihy–Wing locality) and a component is one
+composite object no outside txn touches. A KV history thus splits per
+key; a txn history as far as its txns keep their key sets apart. The
+search keeps an explicit stack: no recursion limit caps history length.
 
 Scope and soundness (docs/DURABILITY.md):
 
@@ -28,8 +32,8 @@ Scope and soundness (docs/DURABILITY.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Op", "HistoryRecorder", "LinearizabilityReport",
            "check_history", "check_recorder", "selftest",
@@ -57,6 +61,11 @@ class Op:
         return (f"c{self.client} {self.kind}({self.key!r})"
                 f"{'=' + repr(self.value) if self.value is not None else ''} "
                 f"@{window}")
+
+    def effects(self) -> tuple:
+        """``(key, value)`` reads and writes of this op as a txn."""
+        effect = ((self.key, self.value),)
+        return (effect, ()) if self.kind == "get" else ((), effect)
 
 
 class HistoryRecorder:
@@ -124,77 +133,132 @@ class LinearizabilityReport:
     violations: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "keys_checked": self.keys_checked,
-            "ops_checked": self.ops_checked,
-            "pending_ops": self.pending_ops,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
-def _check_key(ops: List[Op]) -> Optional[str]:
-    """Wing–Gong search over one key's sub-history (register
-    semantics, initial value None). Returns None when linearizable,
-    else a one-line description of the violation.
+def _components(events: Sequence) -> Tuple[int, List[List[int]]]:
+    """Key-overlap components of ``events`` (union-find over read and
+    write keys): the key count, and each component's event indices,
+    smallest key first. An event touching no key is in none."""
+    parent: Dict[bytes, bytes] = {}
+    firsts = []  # each event's first key, if any
 
-    State = (frozenset of remaining op indices, register value);
-    failed states are memoized, so the search is exponential only in
-    the width of genuinely concurrent operations.
-    """
-    n = len(ops)
-    all_ids = frozenset(range(n))
-    failed: set = set()
+    def find(key: bytes) -> bytes:
+        while parent[key] != key:
+            parent[key] = key = parent[parent[key]]
+        return key
 
-    def search(remaining: frozenset, state: Optional[bytes]) -> bool:
-        completed = [i for i in remaining if ops[i].returned is not None]
-        if not completed:
-            return True  # pending ops may all be dropped
-        key_state = (remaining, state)
-        if key_state in failed:
-            return False
-        # Minimality: the next linearized op must be invoked no later
-        # than the earliest return among remaining completed ops
-        # (otherwise some completed op returned entirely before it).
-        bound = min(ops[i].returned for i in completed)
-        for i in remaining:
-            op = ops[i]
-            if op.invoked > bound:
-                continue
-            if op.kind == "put":
-                new_state = op.value
-            else:
-                if op.returned is not None and op.value != state:
-                    continue  # a completed get must observe the state
-                new_state = state
-            if search(remaining - {i}, new_state):
-                return True
-        failed.add(key_state)
-        return False
+    for event in events:
+        reads, writes = event.effects()
+        keys = [key for key, _ in (*reads, *writes)]
+        for key in keys:
+            parent.setdefault(key, key)
+            parent[find(key)] = find(keys[0])
+        firsts.append(keys[0] if keys else None)
+    groups: Dict[bytes, List[int]] = {}
+    for key in sorted(parent):
+        groups.setdefault(find(key), [])
+    for i, key in enumerate(firsts):
+        if key is not None:
+            groups[find(key)].append(i)
+    return len(parent), list(groups.values())
 
-    if search(all_ids, None):
-        return None
-    completed = sorted((op for op in ops if op.returned is not None),
-                       key=lambda op: op.invoked)
-    detail = "; ".join(op.describe() for op in completed[:6])
-    return (f"key {ops[0].key!r}: no legal linearization of "
-            f"{n} ops ({detail}{' …' if len(completed) > 6 else ''})")
+
+def _serializable(events: list) -> bool:
+    """Wing–Gong search for a strict serialization of one component.
+
+    State is the component's store image (None = absent); a txn applies
+    atomically (a completed txn's reads must all match, then its writes
+    land together). Completed txns MUST serialize inside their
+    invoke/return window; pending ones MAY take effect any time after
+    their invoke, or never — the presumed-abort ambiguity the WAL
+    recovery resolves. Real-time minimality makes it strict: the next
+    txn is invoked no later than the earliest remaining return. Failed
+    ``(remaining, state)`` pairs are memoized. ``remaining`` is a
+    bitmask over the txns sorted by invoke; a stack frame is an open
+    node: state, next candidate, and the earliest-returning and
+    lowest-invoked pointers, which only move forward along a path."""
+    txns = sorted(events, key=lambda t: t.invoked)
+    n = len(txns)
+    invoked = [t.invoked for t in txns] + [float("inf")]  # scan sentinel
+    slot: Dict[bytes, int] = {}  # key -> its index in the state tuple
+    reads, writes = [], []
+    for t in txns:
+        read, write = t.effects()
+        reads.append([(slot.setdefault(k, len(slot)), v) for k, v in read]
+                     if t.returned is not None else [])
+        writes.append([(slot.setdefault(k, len(slot)), v) for k, v in write])
+    by_return = sorted((i for i in range(n) if txns[i].returned is not None),
+                       key=lambda i: txns[i].returned)
+    failed, stack = set(), []
+    remaining, state = (1 << n) - 1, (None,) * len(slot)
+    first, lo, entered_by = 0, 0, -1
+    while True:
+        # Enter node (remaining, state), reached by taking ``entered_by``.
+        while first < len(by_return) and not remaining >> by_return[first] & 1:
+            first += 1
+        if first == len(by_return):
+            return True  # every completed txn placed; drop the pending
+        if (remaining, state) in failed:
+            remaining |= 1 << entered_by
+        else:
+            while not remaining >> lo & 1:
+                lo += 1
+            stack.append([state, first, lo, lo, entered_by])
+        # Take the next legal candidate of the deepest open node,
+        # closing (and memoizing) every node whose candidates ran out.
+        while True:
+            frame = stack[-1]
+            state, first, lo, i, entered_by = frame
+            bound = txns[by_return[first]].returned
+            while invoked[i] <= bound and not (
+                    remaining >> i & 1
+                    and all(state[s] == v for s, v in reads[i])):
+                i += 1
+            if invoked[i] <= bound:
+                break
+            stack.pop()
+            failed.add((remaining, state))
+            if not stack:
+                return False
+            remaining |= 1 << entered_by
+        frame[3] = i + 1
+        remaining ^= 1 << i
+        if writes[i]:
+            image = list(state)
+            for s, v in writes[i]:
+                image[s] = v
+            state = tuple(image)
+        entered_by = i
+
+
+def _audit(events: Sequence, shown: int, headline: Callable[[list], str]
+           ) -> LinearizabilityReport:
+    """Check ``Op``s or ``TxnEvent``s one key-overlap component at a
+    time; report a failing one as ``headline(component)`` + events."""
+    keys_checked, components = _components(events)
+    report = LinearizabilityReport(
+        ok=True, keys_checked=keys_checked, ops_checked=len(events),
+        pending_ops=sum(1 for e in events if e.returned is None))
+    for members in components:
+        component = [events[i] for i in members]
+        if _serializable(component):
+            continue
+        completed = sorted((e for e in component if e.returned is not None),
+                           key=lambda e: e.invoked)
+        detail = "; ".join(e.describe() for e in completed[:shown])
+        report.violations.append(
+            f"{headline(component)} ({detail}"
+            f"{' …' if len(completed) > shown else ''})")
+    report.ok = not report.violations
+    return report
 
 
 def check_history(ops: List[Op]) -> LinearizabilityReport:
-    """Check a multi-key history by per-key partitioning."""
-    by_key: Dict[bytes, List[Op]] = {}
-    for op in ops:
-        by_key.setdefault(op.key, []).append(op)
-    report = LinearizabilityReport(
-        ok=True, keys_checked=len(by_key), ops_checked=len(ops),
-        pending_ops=sum(1 for op in ops if op.returned is None))
-    for key in sorted(by_key):
-        violation = _check_key(by_key[key])
-        if violation is not None:
-            report.ok = False
-            report.violations.append(violation)
-    return report
+    """Linearizability of a KV history (each op a one-key txn)."""
+    return _audit(ops, 6, lambda component: (
+        f"key {component[0].key!r}: no legal linearization of "
+        f"{len(component)} ops"))
 
 
 def check_recorder(recorder: HistoryRecorder) -> LinearizabilityReport:
@@ -227,22 +291,6 @@ def selftest() -> Tuple[bool, LinearizabilityReport]:
     return (ok_pass and not stale_report.ok), stale_report
 
 
-# ---------------------------------------------------------------------------
-# Transactional histories: strict serializability at txn granularity
-# ---------------------------------------------------------------------------
-#
-# Multi-key transactions break P-compositionality — a per-key check
-# cannot see a txn observed half-applied across two keys — so the txn
-# auditor runs one Wing–Gong search over the *whole* key space: state
-# is the full store image, a candidate txn applies atomically (all
-# reads must match the state, then all writes land together), and the
-# same real-time minimality bound enforces strictness. Committed txns
-# MUST serialize inside their invoke/return window; pending txns (the
-# client never saw a verdict: coordinator crash, in-flight at harvest)
-# MAY take effect at any later point or be dropped — exactly the
-# presumed-abort ambiguity the WAL recovery resolves.
-
-
 @dataclass
 class TxnEvent:
     """One transaction in the recorded history: the values it observed
@@ -262,6 +310,9 @@ class TxnEvent:
         reads = ",".join(f"{k!r}={v!r}" for k, v in sorted(self.reads.items()))
         writes = ",".join(f"{k!r}:={v!r}" for k, v in sorted(self.writes.items()))
         return f"c{self.client} txn(r:{reads} w:{writes}) @{window}"
+
+    def effects(self) -> tuple:
+        return self.reads.items(), self.writes.items()
 
 
 class TxnHistoryRecorder:
@@ -317,63 +368,11 @@ class TxnHistoryRecorder:
 
 
 def check_txn_history(txns: List[TxnEvent]) -> LinearizabilityReport:
-    """Strict-serializability check of a transactional history (one
-    search over the whole key space — see module commentary)."""
-    keys = set()
-    for txn in txns:
-        keys.update(txn.reads)
-        keys.update(txn.writes)
-    report = LinearizabilityReport(
-        ok=True, keys_checked=len(keys), ops_checked=len(txns),
-        pending_ops=sum(1 for t in txns if t.returned is None))
-    n = len(txns)
-    failed: set = set()
-
-    def apply_writes(state: frozenset, txn: TxnEvent) -> frozenset:
-        if not txn.writes:
-            return state
-        image = dict(state)
-        for key, value in txn.writes.items():
-            if value is None:
-                image.pop(key, None)
-            else:
-                image[key] = value
-        return frozenset(image.items())
-
-    def reads_match(state: frozenset, txn: TxnEvent) -> bool:
-        if not txn.reads:
-            return True
-        image = dict(state)
-        return all(image.get(k) == v for k, v in txn.reads.items())
-
-    def search(remaining: frozenset, state: frozenset) -> bool:
-        completed = [i for i in remaining if txns[i].returned is not None]
-        if not completed:
-            return True  # pending txns may all be dropped
-        key_state = (remaining, state)
-        if key_state in failed:
-            return False
-        bound = min(txns[i].returned for i in completed)
-        for i in sorted(remaining):
-            txn = txns[i]
-            if txn.invoked > bound:
-                continue
-            if txn.returned is not None and not reads_match(state, txn):
-                continue
-            if search(remaining - {i}, apply_writes(state, txn)):
-                return True
-        failed.add(key_state)
-        return False
-
-    if not search(frozenset(range(n)), frozenset()):
-        completed = sorted((t for t in txns if t.returned is not None),
-                           key=lambda t: t.invoked)
-        detail = "; ".join(t.describe() for t in completed[:4])
-        report.ok = False
-        report.violations.append(
-            f"no strict serialization of {n} txns over "
-            f"{len(keys)} keys ({detail}{' …' if len(completed) > 4 else ''})")
-    return report
+    """Strict serializability of a transactional history, one
+    key-overlap component at a time."""
+    return _audit(txns, 4, lambda component: (
+        f"no strict serialization of {len(component)} txns over "
+        f"{len({k for t in component for k in (*t.reads, *t.writes)})} keys"))
 
 
 def check_txn_recorder(recorder: TxnHistoryRecorder) -> LinearizabilityReport:
